@@ -69,8 +69,11 @@ func parseBenchOutput(path string) (map[string]float64, error) {
 // BENCH_*.json. The repo's baselines have grown two shapes — an object
 // keyed by benchmark name ({"benchmarks": {"BenchmarkX": {"ns_per_op": n}}})
 // and a result list ({"results": [{"benchmark": "X", "ns_per_op": n}]}) —
-// so the walk is structural: any JSON object carrying a numeric
-// "ns_per_op" contributes, named by its "benchmark" field or its key.
+// so the walk is structural: a JSON object carrying a numeric
+// "ns_per_op" contributes when it names itself with a "benchmark" field
+// or sits under a key starting with "Benchmark". Other objects with an
+// ns_per_op (a before/after pair recording an optimisation's effect)
+// are annotations, not baselines.
 func parseBaseline(path string) (map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -90,9 +93,9 @@ func walk(node any, key string, out map[string]float64) {
 	case map[string]any:
 		ns, hasNs := v["ns_per_op"].(float64)
 		if hasNs {
-			name := key
-			if bn, ok := v["benchmark"].(string); ok {
-				name = bn
+			name, ok := v["benchmark"].(string)
+			if !ok && strings.HasPrefix(key, "Benchmark") {
+				name = key
 			}
 			if name != "" {
 				out[strings.TrimPrefix(name, "Benchmark")] = ns

@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -65,6 +67,32 @@ func TestParseBaselineBothShapes(t *testing.T) {
 		if got[want.name] != want.ns {
 			t.Errorf("%s: %q = %v, want %v (parsed: %v)", path, want.name, got[want.name], want.ns, got)
 		}
+	}
+}
+
+// TestParseCommittedReplicaBaseline parses the committed
+// BENCH_replica.json: its before/after effect records carry ns_per_op
+// too, but they are annotations and must not surface as benchmarks.
+func TestParseCommittedReplicaBaseline(t *testing.T) {
+	got, err := parseBaseline(filepath.Join("..", "..", "BENCH_replica.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	want := []string{
+		"BundlePush",
+		"BundlePushFanout3",
+		"BundlePushWide/gzip",
+		"BundlePushWide/identity",
+		"ReplicaPredictBatch/rows=256",
+		"ReplicaProvenance",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("parsed benchmarks %v, want %v", names, want)
 	}
 }
 

@@ -102,19 +102,19 @@
 // internal/replica completes Fig. 1's last arrow — accepted models
 // "bundled with feature transformation operators and pushed into
 // serving" — as a replicated tier. A trainer-side Publisher owns the
-// authoritative store and pushes gob-encoded bundles to N replica
-// Servers over HTTP; each replica applies them into a local store and
-// serves the identical read API through the *same* store.Server
-// handlers (shared code, so primary and replicas cannot drift — the
-// e2e test asserts byte-identical responses across all of them).
+// authoritative store and pushes each bundle's canonical bytes to N
+// replica Servers over HTTP; each replica applies them into a local
+// store and serves the identical read API through the *same*
+// store.Server handlers (shared code, so primary and replicas cannot
+// drift — the e2e test asserts byte-identical responses across all of
+// them).
 //
 // The push protocol is versioned and idempotent. Versions are assigned
 // once by the publisher's store and travel inside the bundle; a replica
 // accepts version watermark+1 (atomically, under its store's write
 // lock, so a racing /predict sees old or new but never half), acks
-// duplicates after verifying the release's canonical digest
-// (internal/core's audit serialization — gob can't serve here because
-// it encodes maps in iteration order), and answers out-of-order pushes
+// duplicates after verifying the release's canonical digest (a SHA-256
+// of the same bytes the push carried), and answers out-of-order pushes
 // with a 409 carrying its applied-version watermark, from which the
 // publisher backfills in order. Late joiners are just the degenerate
 // case: watermark 0, backfill everything (Publisher.Sync). Transport
@@ -238,9 +238,7 @@
 // BENCH_baseline.json and BENCH_optimized.json record the measured
 // before/after of `go test -bench=. -benchmem`.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation at reduced scale; cmd/sage-experiments runs them at full
-// scale.
+// The benchmarks in bench_test.go regenerate every table and figure of
+// the paper's evaluation at reduced scale; cmd/sage-experiments runs
+// them at full scale.
 package sage

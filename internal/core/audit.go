@@ -7,11 +7,10 @@ package core
 // ledger. When bundles are pushed to serving replicas, every copy must
 // carry provably the same record, so the push protocol identifies a
 // release by a digest over a *canonical* byte serialization defined
-// here. Gob (the shipment encoding) is unsuitable for this: it encodes
-// maps in iteration order, so two encodings of the same bundle differ
-// byte-for-byte. The canonical form is deterministic by construction:
-// length-prefixed strings, IEEE-754 bit patterns for floats, and
-// fixed-width big-endian integers, in a fixed field order.
+// here, and the same bytes are the push body itself. The canonical form
+// is deterministic by construction: length-prefixed strings, IEEE-754
+// bit patterns for floats, and fixed-width big-endian integers, in a
+// fixed field order.
 
 import (
 	"encoding/binary"

@@ -204,18 +204,16 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pushBody is one encoded bundle ready for the wire: the gob bytes and,
-// when compression is on and pays for itself, their gzip form.
+// pushBody is one encoded bundle ready for the wire: its canonical
+// bytes and, when compression is on and pays for itself, their gzip
+// form.
 type pushBody struct{ raw, gz []byte }
 
 // encodePush encodes a bundle and (by default, for bodies of gzipMin
 // bytes and up) compresses it. The compressed form is only kept when it
 // is actually smaller, so incompressible bundles ship identity-encoded.
-func (p *Publisher) encodePush(b *store.Bundle) (pushBody, error) {
-	raw, err := b.Encode()
-	if err != nil {
-		return pushBody{}, err
-	}
+func (p *Publisher) encodePush(b *store.Bundle) pushBody {
+	raw := b.CanonicalBytes()
 	body := pushBody{raw: raw}
 	if p.gzipMin >= 0 && len(raw) >= p.gzipMin {
 		var buf bytes.Buffer
@@ -224,7 +222,7 @@ func (p *Publisher) encodePush(b *store.Bundle) (pushBody, error) {
 			body.gz = buf.Bytes()
 		}
 	}
-	return body, nil
+	return body
 }
 
 // Push ships name@version from the source store to every replica,
@@ -243,10 +241,7 @@ func (p *Publisher) PushContext(ctx context.Context, name string, version int) e
 	if !ok {
 		return fmt.Errorf("replica: push %s@v%d: not in source store", name, version)
 	}
-	body, err := p.encodePush(bundle)
-	if err != nil {
-		return err
-	}
+	body := p.encodePush(bundle)
 	endpoints := p.Endpoints()
 	errs := make([]error, len(endpoints))
 	var wg sync.WaitGroup
@@ -370,11 +365,7 @@ func (p *Publisher) syncEndpoint(ctx context.Context, ep string, names []string,
 			if !ok {
 				continue
 			}
-			body, err := p.encodePush(bundle)
-			if err != nil {
-				return err
-			}
-			if err := p.pushTo(ctx, ep, name, v, body); err != nil {
+			if err := p.pushTo(ctx, ep, name, v, p.encodePush(bundle)); err != nil {
 				return err
 			}
 		}
@@ -467,11 +458,7 @@ func (p *Publisher) backfill(ctx context.Context, endpoint, name string, waterma
 		if !ok {
 			return fmt.Errorf("replica: backfill %s@v%d: not in source store", name, v)
 		}
-		body, err := p.encodePush(bundle)
-		if err != nil {
-			return err
-		}
-		st, gap, err := p.pushOnce(ctx, endpoint, body)
+		st, gap, err := p.pushOnce(ctx, endpoint, p.encodePush(bundle))
 		if err != nil {
 			return fmt.Errorf("replica: backfill %s@v%d to %s: %w", name, v, endpoint, err)
 		}

@@ -10,11 +10,13 @@
 // # Push protocol
 //
 // Versions are assigned once, by the publisher's store, and carried
-// inside the bundle. A push is POST /push with the gob-encoded bundle
-// as the body; the replica's reply reports its *applied-version
-// watermark* for that model name — watermark = n always means versions
-// 1..n are applied, because the replica refuses gaps. The protocol is
-// idempotent and self-healing:
+// inside the bundle. A push is POST /push with the bundle's canonical
+// bytes (store.Bundle.CanonicalBytes) as the body — the same bytes the
+// release digest hashes and the primary's write-ahead log journals. The
+// replica decodes them strictly (store.DecodeCanonicalBundle), and its
+// reply reports its *applied-version watermark* for that model name —
+// watermark = n always means versions 1..n are applied, because the
+// replica refuses gaps. The protocol is idempotent and self-healing:
 //
 //   - version == watermark+1 → applied, watermark advances.
 //   - version <= watermark → duplicate. The replica verifies the
@@ -268,7 +270,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bundle exceeds size limit after decompression"})
 		return
 	}
-	b, err := store.DecodeBundle(raw)
+	b, err := store.DecodeCanonicalBundle(raw)
 	if err != nil {
 		s.pushBadBody.Inc()
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/privacy"
 )
@@ -31,8 +33,11 @@ func canonicalTestBundle() Bundle {
 	}
 }
 
-func TestCanonicalBundleRoundTrip(t *testing.T) {
-	cases := map[string]Bundle{
+// canonicalRoundTripBundles covers the layouts the encoder produces: an
+// MLP with several feature tables, a linear model, and a bundle with no
+// features.
+func canonicalRoundTripBundles() map[string]Bundle {
+	return map[string]Bundle{
 		"full": canonicalTestBundle(),
 		"linear": {
 			Name: "m", Version: 1,
@@ -43,7 +48,10 @@ func TestCanonicalBundleRoundTrip(t *testing.T) {
 			Model: ModelSpec{Kind: "constant", Bias: 7},
 		},
 	}
-	for name, b := range cases {
+}
+
+func TestCanonicalBundleRoundTrip(t *testing.T) {
+	for name, b := range canonicalRoundTripBundles() {
 		t.Run(name, func(t *testing.T) {
 			raw := b.CanonicalBytes()
 			got, err := DecodeCanonicalBundle(raw)
@@ -91,6 +99,53 @@ func TestDecodeCanonicalBundleRejectsDamage(t *testing.T) {
 			t.Fatalf("corrupted length at %d decoded to the original bundle", off)
 		}
 	}
+	// Feature keys must be strictly ascending: unsorted or repeated keys
+	// are a second byte form of a release (a repeat would also drop a
+	// table), so the push body would stop being the digest preimage.
+	for name, bad := range misorderedFeatureKeys() {
+		if _, err := DecodeCanonicalBundle(bad); err == nil {
+			t.Errorf("%s feature keys decoded", name)
+		}
+	}
+}
+
+// misorderedFeatureKeys returns canonical bytes of a two-table bundle
+// with the encoded keys rewritten out of order and repeated.
+func misorderedFeatureKeys() map[string][]byte {
+	b := Bundle{Name: "m", Version: 1, Model: ModelSpec{Kind: "constant"},
+		Features: map[string][]float64{"ka": {1}, "kb": {2}}}
+	raw := b.CanonicalBytes()
+	ka, kb := core.AppendString(nil, "ka"), core.AppendString(nil, "kb")
+	i, j := bytes.Index(raw, ka), bytes.Index(raw, kb)
+	out := make(map[string][]byte)
+	for name, keys := range map[string][2][]byte{"unsorted": {kb, ka}, "duplicate": {ka, ka}} {
+		bad := append([]byte(nil), raw...)
+		copy(bad[i:], keys[0])
+		copy(bad[j:], keys[1])
+		out[name] = bad
+	}
+	return out
+}
+
+// FuzzDecodeCanonicalBundle feeds the push/WAL decoder arbitrary bytes:
+// it must never panic, and any input it accepts must be the canonical
+// bytes of the bundle it returns, byte for byte.
+func FuzzDecodeCanonicalBundle(f *testing.F) {
+	for _, b := range canonicalRoundTripBundles() {
+		f.Add(b.CanonicalBytes())
+	}
+	for _, raw := range misorderedFeatureKeys() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b, err := DecodeCanonicalBundle(raw)
+		if err != nil {
+			return
+		}
+		if got := b.CanonicalBytes(); !bytes.Equal(got, raw) {
+			t.Fatalf("accepted input re-encodes differently:\n  in %x\n out %x", raw, got)
+		}
+	})
 }
 
 // TestStoreJournal pins the store half of the write-ahead contract:

@@ -12,9 +12,7 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -156,31 +154,17 @@ type Bundle struct {
 	Provenance Provenance
 }
 
-// Encode serializes the bundle (gob) for shipment to serving replicas
-// or end-user devices.
-func (b *Bundle) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		return nil, fmt.Errorf("store: encode bundle %s: %w", b.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeBundle deserializes a bundle.
-func DecodeBundle(raw []byte) (*Bundle, error) {
-	var b Bundle
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("store: decode bundle: %w", err)
-	}
-	return &b, nil
-}
+// Encode returns CanonicalBytes. It survives only because perfbench
+// calls it; new code calls CanonicalBytes.
+func (b *Bundle) Encode() ([]byte, error) { return b.CanonicalBytes(), nil }
 
 // CanonicalBytes returns the bundle's canonical serialization
 // (internal/core's audit encoding: fixed field order, sorted feature
-// keys, IEEE-754 bit patterns). Two bundles are the same release iff
-// their canonical bytes are equal, and the serialization is invertible
-// (DecodeCanonicalBundle), so the same bytes serve three roles: the
-// content digest replica push verifies, the payload the write-ahead log
+// keys, IEEE-754 bit patterns). It is the bundle's only encoding. Two
+// bundles are the same release iff their canonical bytes are equal, and
+// the serialization is invertible (DecodeCanonicalBundle), so one byte
+// string serves every role: the POST /push body a replica decodes, the
+// preimage of the digest it verifies, the payload the write-ahead log
 // journals for each publish (the WAL record's checksum therefore covers
 // exactly the bytes the push digest covers), and the record replay
 // decodes during crash recovery.
@@ -206,9 +190,11 @@ func (b *Bundle) CanonicalBytes() []byte {
 	return core.AppendProvenance(buf, p.Pipeline, p.Spent, p.Blocks, p.Decision, p.Quality)
 }
 
-// DecodeCanonicalBundle inverts CanonicalBytes. The write-ahead log's
-// recovery path uses it to reconstruct released bundles from journal
-// records.
+// DecodeCanonicalBundle inverts CanonicalBytes. Replicas decode push
+// bodies with it and the write-ahead log's recovery path rebuilds
+// released bundles from journal records with it. It is strict: it
+// accepts only bytes CanonicalBytes produces, so every accepted input
+// re-encodes to itself and one release has exactly one byte form.
 func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 	c := core.NewCursor(raw)
 	var b Bundle
@@ -240,8 +226,16 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 			return nil, fmt.Errorf("store: canonical bundle: feature count %d exceeds payload", nFeatures)
 		}
 		b.Features = make(map[string][]float64, nFeatures)
+		prev := ""
 		for i := uint64(0); i < nFeatures && c.Err() == nil; i++ {
 			k := c.String()
+			// The encoder writes keys sorted; an unsorted or repeated
+			// key is a second byte form of some release (a repeat would
+			// also silently drop a table).
+			if i > 0 && k <= prev && c.Err() == nil {
+				return nil, fmt.Errorf("store: canonical bundle: feature key %q not after %q", k, prev)
+			}
+			prev = k
 			b.Features[k] = c.Floats()
 		}
 	}
@@ -261,12 +255,10 @@ func DecodeCanonicalBundle(raw []byte) (*Bundle, error) {
 }
 
 // Digest returns a content digest over the bundle's canonical
-// serialization. The gob wire encoding cannot serve this role — it
-// walks the feature map in iteration order, so re-encoding the same
-// bundle yields different bytes. Replica push uses the digest for
-// idempotency: a re-push of an already-applied (name, version) is
-// accepted iff the digests match, so a divergent bundle can never
-// silently overwrite a release. Because the WAL journals exactly
+// serialization, which is also the push body. Replica push uses the
+// digest for idempotency: a re-push of an already-applied (name,
+// version) is accepted iff the digests match, so a divergent bundle can
+// never silently overwrite a release. Because the WAL journals exactly
 // CanonicalBytes, a journaled release's digest is the digest replicas
 // verified.
 func (b *Bundle) Digest() [sha256.Size]byte {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -81,21 +82,14 @@ func TestBundleEncodeDecode(t *testing.T) {
 			Quality:  0.004,
 		},
 	}
-	raw, err := b.Encode()
+	back, err := DecodeCanonicalBundle(b.CanonicalBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeBundle(raw)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(back, b) {
+		t.Errorf("round trip changed the bundle:\n got %+v\nwant %+v", back, b)
 	}
-	if back.Name != b.Name || back.Provenance.Spent != b.Provenance.Spent {
-		t.Errorf("round trip lost fields: %+v", back)
-	}
-	if len(back.Features["hour_speed"]) != 3 {
-		t.Error("features lost")
-	}
-	if _, err := DecodeBundle([]byte("garbage")); err == nil {
+	if _, err := DecodeCanonicalBundle([]byte("garbage")); err == nil {
 		t.Error("garbage should fail to decode")
 	}
 }
